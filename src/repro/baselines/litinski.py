@@ -107,9 +107,18 @@ def evaluate_block(
         num_factories: n_MSF for the distillation bound.
         distill_time: t_MSF (11d default).
         factory_area: logical patches per factory.
-        ppr_program: optional pre-computed transpilation (saves repeat work
-            in sweeps).
+        ppr_program: optional pre-computed transpilation of ``circuit``
+            (saves repeat work in sweeps).
+
+    Raises:
+        ValueError: ``ppr_program`` is over a different number of qubits
+            than ``circuit``, so it cannot be its transpilation.
     """
+    if ppr_program is not None and ppr_program.num_qubits != circuit.num_qubits:
+        raise ValueError(
+            f"ppr_program is over {ppr_program.num_qubits} qubits but circuit "
+            f"{circuit.name!r} is over {circuit.num_qubits}"
+        )
     program = ppr_program or transpile_to_ppr(circuit)
     n_ppr = program.t_rotation_count
     bound = distillation_lower_bound(n_ppr, distill_time, num_factories)

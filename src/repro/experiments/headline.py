@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..baselines import litinski
 from ..baselines.dascot import evaluate_dascot
 from ..baselines.litinski import compact_block, evaluate_block, fast_block
 from ..baselines.lsqca import evaluate_line_sam
@@ -48,9 +49,12 @@ def run(fast: bool = True) -> Table:
             result = compile_ours(circuit, routing_paths=r, num_factories=1)
             if best is None or result.spacetime_volume(True) < best.spacetime_volume(True):
                 best = result
-        compact = evaluate_block(circuit, compact_block(), num_factories=1)
-        fast_b = evaluate_block(circuit, fast_block(), num_factories=1)
-        baseline_qubits = min(compact.compute_qubits, fast_b.compute_qubits)
+        # one transpilation serves both block layouts
+        program = litinski.transpile_to_ppr(circuit)
+        baseline_qubits = min(
+            evaluate_block(circuit, block, num_factories=1, ppr_program=program).compute_qubits
+            for block in (compact_block(), fast_block())
+        )
         qubit_reductions.append(1.0 - best.compute_qubits / baseline_qubits)
         time_overheads.append(best.time_vs_lower_bound)
         dascot = evaluate_dascot(circuit, num_factories=1)

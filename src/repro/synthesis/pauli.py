@@ -146,8 +146,9 @@ class PauliString:
         """Return ``C P C†`` for Clifford gate ``C``.
 
         Supported Cliffords: H, S, Sdg, X, Y, Z, SX, SXdg, CX, CZ, SWAP.
-        This is the core rewrite the PPR transpiler performs when pushing
-        Cliffords past later rotations.
+        This is the sign convention the PPR transpiler's Clifford frame is
+        derived from: it conjugates each gate's local generators once, and
+        builds every frame update from those images.
         """
         x = list(self.x)
         z = list(self.z)

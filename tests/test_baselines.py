@@ -15,6 +15,7 @@ from repro.baselines.litinski import (
 from repro.baselines.lower_bound import circuit_lower_bound, distillation_lower_bound
 from repro.baselines.lsqca import evaluate_line_sam, evaluate_point_sam, line_sam_qubits
 from repro.ir.circuit import Circuit
+from repro.synthesis.ppr import transpile_to_ppr
 from repro.workloads import ising_2d
 
 
@@ -67,6 +68,18 @@ class TestLitinskiBlocks:
         many = evaluate_block(circuit, fast_block(), num_factories=100)
         assert many.execution_time < few.execution_time
         assert many.execution_time >= many.t_states * 3.0  # serial PPRs
+
+    def test_supplied_program_is_used(self):
+        circuit = ising_2d(2)
+        program = transpile_to_ppr(circuit)
+        program.rotations = program.rotations[:1]
+        result = evaluate_block(circuit, fast_block(), ppr_program=program)
+        assert result.t_states == 1
+
+    def test_program_of_another_width_rejected(self):
+        program = transpile_to_ppr(ising_2d(3))
+        with pytest.raises(ValueError, match="9 qubits"):
+            evaluate_block(ising_2d(2), fast_block(), ppr_program=program)
 
     def test_all_blocks_returns_three(self):
         results = evaluate_all_blocks(ising_2d(2))

@@ -156,6 +156,21 @@ class TestHeadline:
         assert len(table.rows) == 4
         assert all(row["measured"] for row in table.rows)
 
+    def test_transpiles_each_circuit_once(self, monkeypatch):
+        from repro.baselines import litinski
+
+        circuits = []
+
+        def counting(circuit, *args, **kwargs):
+            circuits.append(circuit.name)
+            return transpile(circuit, *args, **kwargs)
+
+        transpile = litinski.transpile_to_ppr
+        monkeypatch.setattr(litinski, "transpile_to_ppr", counting)
+        headline.run(fast=True)
+        assert len(circuits) == 3
+        assert len(set(circuits)) == 3
+
 
 class TestHarness:
     def test_every_experiment_returns_table(self):
