@@ -531,7 +531,7 @@ def _check_truncation_quarantined(
     key = truncated.name[: -len(".json")]
     # an independent reader over the same directory must refuse the entry
     reader = CompileCache(cache_dir)
-    if reader.load(key) is not None:
+    if reader.get_result(key) is not None:
         report.violations.append(
             f"scenario {scenario.describe()}: truncated cache entry "
             f"{key[:12]} was served instead of quarantined"

@@ -213,18 +213,15 @@ class CompileCache(CacheBackend):
             self._unpin(key)
             self.get_ms += (time.perf_counter() - started) * 1000.0
 
-    def load(self, key: str) -> Optional[CompilationResult]:
-        """The verified cached result for ``key``, or None (see `_read_entry`)."""
-        entry = self._pinned_read(key)
-        return None if entry is None else entry[1]
-
     def get(self, key: str) -> Optional[dict]:
         """CacheBackend contract: the serialized result for ``key``, or None."""
         entry = self._pinned_read(key)
         return None if entry is None else entry[0]
 
     def get_result(self, key: str) -> Optional[CompilationResult]:
-        return self.load(key)
+        """The verified cached result for ``key``, or None (see `_read_entry`)."""
+        entry = self._pinned_read(key)
+        return None if entry is None else entry[1]
 
     # -- write path ---------------------------------------------------------
 
@@ -275,10 +272,6 @@ class CompileCache(CacheBackend):
             self._write_entry(key, result_dict)
         finally:
             self.put_ms += (time.perf_counter() - started) * 1000.0
-
-    def store(self, key: str, result: CompilationResult) -> None:
-        """Object-level :meth:`put` (the legacy API)."""
-        self.put(key, result.to_dict())
 
     def put_result(
         self,

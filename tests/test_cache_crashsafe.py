@@ -39,8 +39,8 @@ class TestRoundTrip:
     def test_store_then_load(self, tmp_path, compiled):
         _, _, key, result = compiled
         cache = CompileCache(tmp_path)
-        cache.store(key, result)
-        loaded = cache.load(key)
+        cache.put_result(key, result)
+        loaded = cache.get_result(key)
         assert loaded is not None
         assert loaded.to_dict() == result.to_dict()
         assert cache.health() == {
@@ -51,21 +51,21 @@ class TestRoundTrip:
     def test_entry_carries_checksum(self, tmp_path, compiled):
         _, _, key, result = compiled
         cache = CompileCache(tmp_path)
-        cache.store(key, result)
+        cache.put_result(key, result)
         data = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
         assert data["key"] == key
         assert data["checksum"] == payload_checksum(data["result"])
 
     def test_missing_entry_is_plain_miss(self, tmp_path):
         cache = CompileCache(tmp_path)
-        assert cache.load("0" * 64) is None
+        assert cache.get_result("0" * 64) is None
         assert cache.misses == 1
         assert cache.read_errors == 0
         assert cache.quarantined == 0
 
     def test_no_tmp_droppings_after_store(self, tmp_path, compiled):
         _, _, key, result = compiled
-        CompileCache(tmp_path).store(key, result)
+        CompileCache(tmp_path).put_result(key, result)
         assert list(tmp_path.rglob("*.tmp")) == []
 
 
@@ -73,19 +73,19 @@ class TestQuarantine:
     def _stored(self, tmp_path, compiled):
         _, _, key, result = compiled
         cache = CompileCache(tmp_path)
-        cache.store(key, result)
+        cache.put_result(key, result)
         return cache, key, tmp_path / key[:2] / f"{key}.json"
 
     def test_truncated_entry_quarantined(self, tmp_path, compiled):
         cache, key, path = self._stored(tmp_path, compiled)
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) // 2)
-        assert cache.load(key) is None
+        assert cache.get_result(key) is None
         assert cache.quarantined == 1
         assert not path.exists()
         assert (tmp_path / QUARANTINE_DIR / path.name).exists()
         # the corruption cannot be re-hit: next lookup is a clean miss
-        assert cache.load(key) is None
+        assert cache.get_result(key) is None
         assert cache.quarantined == 1
 
     def test_checksum_mismatch_quarantined(self, tmp_path, compiled):
@@ -93,7 +93,7 @@ class TestQuarantine:
         data = json.loads(path.read_text())
         data["result"]["t_states"] = data["result"]["t_states"] + 1
         path.write_text(json.dumps(data))  # stale checksum now
-        assert cache.load(key) is None
+        assert cache.get_result(key) is None
         assert cache.quarantined == 1
 
     def test_wrong_key_quarantined(self, tmp_path, compiled):
@@ -103,14 +103,14 @@ class TestQuarantine:
         other_path = tmp_path / other[:2] / f"{other}.json"
         other_path.parent.mkdir(parents=True, exist_ok=True)
         other_path.write_text(json.dumps(data))  # right checksum, wrong address
-        assert cache.load(other) is None
+        assert cache.get_result(other) is None
         assert cache.quarantined == 1
 
     def test_quarantined_entries_not_counted_as_cached(self, tmp_path, compiled):
         cache, key, path = self._stored(tmp_path, compiled)
         assert len(cache) == 1
         path.write_text("{")
-        cache.load(key)
+        cache.get_result(key)
         assert cache.quarantined == 1
         assert len(cache) == 0
 
@@ -120,40 +120,40 @@ class TestFaultInjection:
         _, _, key, result = compiled
         faults = ScriptedDiskFaults()
         cache = CompileCache(tmp_path, faults=faults)
-        cache.store(key, result)
+        cache.put_result(key, result)
         faults.arm(fail_reads=1)
-        assert cache.load(key) is None
+        assert cache.get_result(key) is None
         assert cache.read_errors == 1
         assert cache.quarantined == 0  # the bytes on disk are fine
         # budget spent: the entry is served again
-        assert cache.load(key) is not None
+        assert cache.get_result(key) is not None
 
     def test_injected_write_error_is_swallowed(self, tmp_path, compiled):
         _, _, key, result = compiled
         faults = ScriptedDiskFaults()
         cache = CompileCache(tmp_path, faults=faults)
         faults.arm(fail_writes=1)
-        cache.store(key, result)  # must not raise
+        cache.put_result(key, result)  # must not raise
         assert cache.store_errors == 1
         assert cache.stores == 0
-        assert cache.load(key) is None  # nothing landed
-        cache.store(key, result)  # budget spent: store works again
-        assert cache.load(key) is not None
+        assert cache.get_result(key) is None  # nothing landed
+        cache.put_result(key, result)  # budget spent: store works again
+        assert cache.get_result(key) is not None
 
     def test_injected_truncation_quarantined_on_read(self, tmp_path, compiled):
         _, _, key, result = compiled
         faults = ScriptedDiskFaults()
         cache = CompileCache(tmp_path, faults=faults)
         faults.arm(truncate_writes=1)
-        cache.store(key, result)
+        cache.put_result(key, result)
         assert faults.truncations == 1
         # an independent reader over the same directory refuses the entry
         reader = CompileCache(tmp_path)
-        assert reader.load(key) is None
+        assert reader.get_result(key) is None
         assert reader.quarantined == 1
 
     def test_default_injector_is_transparent(self, tmp_path, compiled):
         _, _, key, result = compiled
         cache = CompileCache(tmp_path, faults=FaultInjector())
-        cache.store(key, result)
-        assert cache.load(key) is not None
+        cache.put_result(key, result)
+        assert cache.get_result(key) is not None

@@ -115,9 +115,9 @@ class TestCompileCache:
         cache = CompileCache(tmp_path)
         result = compile_circuit(ising_2d(2), routing_paths=3)
         key = job_key(ising_2d(2), CompilerConfig(routing_paths=3))
-        cache.store(key, result)
+        cache.put_result(key, result)
         assert cache.contains(key)
-        loaded = cache.load(key)
+        loaded = cache.get_result(key)
         assert loaded is not None
         assert loaded.schedule.ops == result.schedule.ops
         assert loaded.execution_time == result.execution_time
@@ -126,11 +126,11 @@ class TestCompileCache:
 
     def test_missing_and_corrupt_entries_miss(self, tmp_path):
         cache = CompileCache(tmp_path)
-        assert cache.load("0" * 64) is None
+        assert cache.get_result("0" * 64) is None
         path = cache._path("1" * 64)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
-        assert cache.load("1" * 64) is None
+        assert cache.get_result("1" * 64) is None
         assert cache.misses == 2
 
 
