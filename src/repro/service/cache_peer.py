@@ -5,6 +5,12 @@ asyncio TCP endpoint speaking the same newline-delimited JSON codec as
 the compile service, backed by one :class:`~repro.sweep.CompileCache`
 directory.  It never compiles anything — it only moves verified result
 payloads by SHA-256 job key, so a fleet of engines can warm each other.
+It never parses a result either: the checksum ``C`` is SHA-256 over the
+result's canonical text, so the peer checks it against the bytes of the
+frame's ``result`` field, split off unparsed, and splices the same bytes
+into the disk entry and into every reply.  Only a frame that is not in
+the canonical layout, or whose hash disagrees, is parsed and
+canonicalised once more before it is judged.
 
 Ops:
 
@@ -15,7 +21,7 @@ Ops:
     reject a torn frame or torn stored entry without trusting the peer.
 ``cache-put``
     ``{"op": "cache-put", "key": K, "checksum": C, "result": {...}}``.
-    The peer recomputes the checksum over the payload and rejects a
+    The peer checks the checksum against the payload and rejects a
     mismatch with ``bad-request`` — a torn upload can never land.
 ``stats`` / ``ping`` / ``shutdown``
     As on the compile service (``shutdown`` honoured unless started
@@ -36,13 +42,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import copy
 import threading
 from typing import Any, Dict, Optional, Tuple
 
 from .. import __version__
 from ..sweep import CompileCache
-from ..sweep.cache import payload_checksum
+from ..sweep.cache import payload_checksum, verified_text
 from . import protocol
 from .remote_cache import DEFAULT_CACHE_PORT
 
@@ -149,8 +154,8 @@ class CachePeer:
                 if not line:
                     break
                 self.requests += 1
-                response, action = await self._dispatch(line)
-                data = protocol.encode_line(response)
+                response, result, action = await self._dispatch(line)
+                data = protocol.encode_line(response, result)
                 if action == "reset":
                     # chaos: half a frame, then a hard RST mid-response
                     writer.write(data[: max(1, len(data) // 2)])
@@ -175,23 +180,27 @@ class CachePeer:
 
     async def _dispatch(
         self, line: bytes
-    ) -> Tuple[Dict[str, Any], Optional[str]]:
-        """Resolve one request to ``(response, chaos_action)``."""
+    ) -> Tuple[Dict[str, Any], Optional[str], Optional[str]]:
+        """Resolve one request to ``(response, result_text, chaos_action)``.
+
+        ``result_text`` is canonical text to splice into the response
+        under ``result`` (a ``cache-get`` hit), else None.
+        """
         loop = asyncio.get_running_loop()
         try:
-            message = protocol.decode_line(line)
+            message, text = protocol.decode_header(line)
             op = str(message.get("op", "?"))
             if op == "cache-get":
                 return await loop.run_in_executor(
                     None, self._handle_get, message
                 )
             if op == "cache-put":
-                return (
-                    await loop.run_in_executor(None, self._handle_put, message),
-                    None,
+                response = await loop.run_in_executor(
+                    None, self._handle_put, message, text
                 )
+                return response, None, None
             if op == "stats":
-                return self._handle_stats(), None
+                return self._handle_stats(), None, None
             if op == "ping":
                 return (
                     {
@@ -201,20 +210,22 @@ class CachePeer:
                         "protocol": protocol.PROTOCOL_VERSION,
                     },
                     None,
+                    None,
                 )
             if op == "shutdown" and self.allow_shutdown:
                 self.request_stop()
-                return {"ok": True, "op": "shutdown"}, None
+                return {"ok": True, "op": "shutdown"}, None, None
             raise protocol.ProtocolError(
                 protocol.E_BAD_REQUEST, f"unknown op {op!r}"
             )
         except protocol.ProtocolError as exc:
-            return protocol.error_response(exc.code, str(exc)), None
+            return protocol.error_response(exc.code, str(exc)), None, None
         except Exception as exc:  # noqa: BLE001 — a request must never kill the peer
             return (
                 protocol.error_response(
                     protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}"
                 ),
+                None,
                 None,
             )
 
@@ -222,52 +233,53 @@ class CachePeer:
 
     def _handle_get(
         self, message: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], Optional[str]]:
+    ) -> Tuple[Dict[str, Any], Optional[str], Optional[str]]:
         key = message.get("key")
         if not _valid_key(key):
             raise protocol.ProtocolError(
                 protocol.E_BAD_REQUEST, "'key' must be a 64-char hex job key"
             )
         action = self.faults.on_get(key) if self.faults is not None else None
-        payload = self.cache.get(key)
-        if payload is None:
-            return {"ok": True, "op": "cache-get", "found": False}, action
-        checksum = payload_checksum(payload)
+        text = self.cache.get(key)
+        if text is None:
+            miss = {"ok": True, "op": "cache-get", "found": False}
+            return miss, None, action
+        checksum = payload_checksum(text)
         if action == "corrupt":
             # chaos: serve a torn entry — the advertised checksum stays
             # that of the stored bytes, so the client must reject it
-            payload = copy.deepcopy(payload)
-            payload["_torn"] = True
-        return (
-            {
-                "ok": True,
-                "op": "cache-get",
-                "found": True,
-                "key": key,
-                "checksum": checksum,
-                "result": payload,
-            },
-            action,
-        )
+            text = text[:-1] + ', "_torn": true}'
+        response = {
+            "ok": True,
+            "op": "cache-get",
+            "found": True,
+            "key": key,
+            "checksum": checksum,
+        }
+        return response, text, action
 
-    def _handle_put(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_put(
+        self, message: Dict[str, Any], line: str
+    ) -> Dict[str, Any]:
+        """Store the request's result under its key, unparsed when canonical.
+
+        ``message`` is the request's header, ``line`` the whole request
+        (see :func:`~repro.service.protocol.decode_header`).
+        """
         key = message.get("key")
         if not _valid_key(key):
             raise protocol.ProtocolError(
                 protocol.E_BAD_REQUEST, "'key' must be a 64-char hex job key"
             )
-        result = message.get("result")
-        if not isinstance(result, dict):
-            raise protocol.ProtocolError(
-                protocol.E_BAD_REQUEST, "'result' must be a JSON object"
-            )
-        if message.get("checksum") != payload_checksum(result):
+        try:
+            text = verified_text(line, key)
+        except (ValueError, KeyError, TypeError):
             self.rejected_puts += 1
             raise protocol.ProtocolError(
                 protocol.E_BAD_REQUEST,
                 "checksum does not match the payload (torn upload rejected)",
-            )
-        self.cache.put(key, result)
+            ) from None
+        self.cache.put(key, text)
         return {"ok": True, "op": "cache-put", "stored": True, "key": key}
 
     def _handle_stats(self) -> Dict[str, Any]:

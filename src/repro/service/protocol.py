@@ -44,6 +44,7 @@ from ..compiler.result import CompilationResult
 from ..ir import qasm
 from ..ir.circuit import Circuit
 from ..ir.passes import optimize as optimize_circuit
+from ..sweep.cache import splice_result, split_result
 from ..workloads import load_benchmark
 
 #: protocol revision; servers echo it in ``ping`` and ``stats`` responses.
@@ -109,9 +110,21 @@ class ProtocolError(ValueError):
 # -- line codec ----------------------------------------------------------------
 
 
-def encode_line(message: Dict[str, Any]) -> bytes:
-    """Serialize one protocol message to its wire form (JSON + newline)."""
-    return (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
+def encode_line(
+    message: Dict[str, Any], result: Optional[str] = None
+) -> bytes:
+    """Serialize one protocol message to its wire form (JSON + newline).
+
+    ``result`` is the canonical text of a cached result to carry under
+    the message's ``result`` key (the cache ops).  It is spliced in
+    verbatim, and the line is byte-identical to encoding the message
+    with that result inside it.
+    """
+    if result is None:
+        text = json.dumps(message, sort_keys=True)
+    else:
+        text = splice_result(message, result)
+    return (text + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
@@ -127,6 +140,26 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     if not isinstance(message, dict):
         raise ProtocolError(E_BAD_REQUEST, "request must be a JSON object")
     return message
+
+
+def decode_header(line: bytes) -> Tuple[Dict[str, Any], str]:
+    """Parse one wire line except a trailing ``result``: ``(header, text)``.
+
+    ``text`` is the whole line, decoded and without its newline.  A line
+    built with :func:`encode_line`'s ``result`` is split and its result
+    left unparsed, so the header is every other field.  Any other line
+    is decoded whole by :func:`decode_line`.
+    """
+    try:
+        text = line.decode("utf-8").rstrip("\r\n")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(
+            E_BAD_REQUEST, f"invalid JSON line: {exc}"
+        ) from exc
+    split = split_result(text)
+    if split is not None:
+        return split[0], text
+    return decode_line(line), text
 
 
 # -- request construction (client side) ----------------------------------------

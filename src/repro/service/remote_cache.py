@@ -15,10 +15,14 @@ Design rules, in order of importance:
   sweep with no peer at all.
 * **Remote bytes are untrusted.**  ``trusted = False``: the engine
   replay-validates every remote hit before serving or promoting it (the
-  poisoning defense).  Below that, :meth:`get` itself verifies the
-  peer's checksum against the payload, so a torn frame or torn remote
-  entry is rejected (counted in ``corrupt``) before validation is even
-  attempted.
+  poisoning defense).  Below that, every read checks the peer's checksum
+  — SHA-256 over the result's canonical text — against the bytes of the
+  frame's ``result`` field, which is split off unparsed; only a frame
+  not in the canonical layout, or whose hash disagrees, is parsed and
+  canonicalised once more before it is judged.  A torn frame or torn
+  remote entry is rejected (counted in ``corrupt``) before validation is
+  even attempted.  The text that passed is handed up with the result,
+  so promotion writes it to disk without re-encoding it.
 * **Outages are cheap.**  Transient failures retry on the shared
   :class:`~repro.service.client.RetryPolicy` (small budget, jittered
   backoff); repeated failures trip a circuit breaker that skips the
@@ -29,14 +33,16 @@ Design rules, in order of importance:
 
 from __future__ import annotations
 
+import json
 import random
 import socket
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..sweep.cache import payload_checksum
-from ..sweep.tiers import CacheBackend
+from ..compiler.result import CompilationResult
+from ..sweep.cache import payload_checksum, verified_text
+from ..sweep.tiers import CacheBackend, Payload, canonical_text
 from . import protocol
 from .client import RetryPolicy
 
@@ -131,14 +137,16 @@ class RemoteCache(CacheBackend):
         with self._io:
             self._drop_connection()
 
-    def _exchange(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _exchange(self, frame: bytes) -> Tuple[Dict[str, Any], str]:
+        """Send one frame; the reply's header and whole line (see
+        :func:`~repro.service.protocol.decode_header`)."""
         if self._sock is None:
             self._connect()
-        self._sock.sendall(protocol.encode_line(message))
+        self._sock.sendall(frame)
         line = self._reader.readline()
-        if not line:
-            raise ConnectionError("cache peer closed the connection")
-        return protocol.decode_line(line)
+        if not line.endswith(b"\n"):
+            raise ConnectionError("cache peer closed the connection mid-frame")
+        return protocol.decode_header(line)
 
     # -- breaker ------------------------------------------------------------
 
@@ -154,15 +162,23 @@ class RemoteCache(CacheBackend):
                 self.breaker_trips += 1
             self._resume_at = self._clock() + self.breaker_cooldown
 
-    def _request(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """One request, retried and breaker-gated; None on any failure."""
+    def _request(
+        self, message: Dict[str, Any], result: Optional[str] = None
+    ) -> Optional[Tuple[Dict[str, Any], str]]:
+        """One request, retried and breaker-gated; None on any failure.
+
+        ``result`` is canonical text to splice into the request (see
+        :func:`~repro.service.protocol.encode_line`).  Returns the
+        reply's header and whole line.
+        """
+        frame = protocol.encode_line(message, result)
         with self._io:
             if self._breaker_open():
                 self.skipped += 1
                 return None
             for attempt in range(self.retry.attempts):
                 try:
-                    reply = self._exchange(message)
+                    reply, line = self._exchange(frame)
                 except (OSError, protocol.ProtocolError, ValueError):
                     # the connection is in an unknown state — rebuild it
                     self._drop_connection()
@@ -171,7 +187,7 @@ class RemoteCache(CacheBackend):
                     continue
                 if reply.get("ok"):
                     self._failures = 0
-                    return reply
+                    return reply, line
                 error = reply.get("error") or {}
                 code = error.get("code", "")
                 if (
@@ -191,30 +207,43 @@ class RemoteCache(CacheBackend):
 
     # -- the CacheBackend contract ------------------------------------------
 
-    def _get(self, key: str) -> Optional[dict]:
+    def _get(self, key: str) -> Optional[str]:
+        """The verified canonical text the peer holds for ``key``.
+
+        None on a miss, a failed request, or a frame whose bytes do not
+        match what the peer claims they are (see
+        :func:`~repro.sweep.cache.verified_text`).
+        """
         reply = self._request({"op": "cache-get", "key": key})
-        if reply is None or not reply.get("found"):
+        if reply is None or not reply[0].get("found"):
             return None
-        result = reply.get("result")
-        if (
-            not isinstance(result, dict)
-            or reply.get("key") != key
-            or reply.get("checksum") != payload_checksum(result)
-        ):
-            # torn frame or torn remote entry: the bytes do not match
-            # what the peer claims they are — reject before validation
+        try:
+            return verified_text(reply[1], key)
+        except (ValueError, KeyError, TypeError):
+            # torn frame or torn remote entry — reject before validation
             self.corrupt += 1
             return None
-        return result
 
-    def _put(self, key: str, result_dict: dict) -> None:
+    def get_entry(
+        self, key: str
+    ) -> Optional[Tuple[CompilationResult, Optional[str]]]:
+        started = time.perf_counter()
+        entry = None
+        text = self._get(key)
+        if text is not None:
+            try:
+                entry = CompilationResult.from_dict(json.loads(text)), text
+            except (ValueError, KeyError, TypeError):
+                # checksummed bytes that do not decode to a result
+                self.corrupt += 1
+        self._record_get(entry is not None, started)
+        return entry
+
+    def _put(self, key: str, payload: Payload) -> None:
+        text = payload if isinstance(payload, str) else canonical_text(payload)
+        checksum = payload_checksum(text)
         self._request(
-            {
-                "op": "cache-put",
-                "key": key,
-                "checksum": payload_checksum(result_dict),
-                "result": result_dict,
-            }
+            {"op": "cache-put", "key": key, "checksum": checksum}, text
         )
 
     # -- peer introspection (CLI / benchmarks) ------------------------------
@@ -222,7 +251,7 @@ class RemoteCache(CacheBackend):
     def peer_stats(self) -> Optional[Dict[str, Any]]:
         """The peer's own stats snapshot, or None if unreachable."""
         reply = self._request({"op": "stats"})
-        return None if reply is None else reply.get("stats")
+        return None if reply is None else reply[0].get("stats")
 
     def ping(self) -> bool:
         """True when the peer answers a liveness probe."""

@@ -24,18 +24,25 @@ The store is crash-safe in both directions:
   *counted*, not raised: the cache is an accelerator, so the caller's
   freshly compiled result must still reach the client.
 * **reads** verify a SHA-256 checksum recorded at write time over the
-  canonical result payload.  An entry that fails to parse, fails its
-  checksum, or carries the wrong key is **quarantined** — moved into
-  ``<cache_dir>/quarantine/`` and counted — never silently served and
-  never allowed to crash the request; the lookup simply misses and the
-  job recompiles.  Transient I/O errors (``EIO`` and friends) miss
-  without quarantining, since the bytes on disk may be fine.
+  canonical result text (:func:`~repro.sweep.tiers.canonical_text`).
+  An entry is ``{"checksum": C, "key": K, "result": <text>}`` with the
+  text spliced in verbatim, so a reader splits off the small header and
+  hashes the result's bytes without re-serializing them; only bytes that
+  are not in that layout, or whose hash disagrees, are parsed and
+  canonicalised once more before being judged (:func:`verified_text`).
+  An entry that fails to parse, fails its checksum, or carries the wrong
+  key is **quarantined** — moved into ``<cache_dir>/quarantine/`` and
+  counted — never silently served and never allowed to crash the
+  request; the lookup simply misses and the job recompiles.  Transient
+  I/O errors (``EIO`` and friends) miss without quarantining, since the
+  bytes on disk may be fine.
 
 The quarantine directory itself is bounded (``quarantine_cap`` entries,
 oldest evicted first), so a flaky disk cannot grow it without limit.
 
 ``FaultInjector`` is the seam the chaos harness uses to make disk
-failures deterministic: its hooks run inside ``load``/``store`` and may
+failures deterministic: its hooks run inside every read and write of an
+entry (``_read_entry``/``_write_entry``, behind ``get``/``put``) and may
 raise ``OSError`` or truncate the just-written file.
 """
 
@@ -52,7 +59,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..compiler.result import CompilationResult
-from .tiers import CacheBackend
+from .tiers import CacheBackend, Payload, canonical_text
 
 #: environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -72,19 +79,88 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sweep"
 
 
-def payload_checksum(result_dict: dict) -> str:
-    """SHA-256 over the canonical JSON form of a serialized result."""
-    canonical = json.dumps(result_dict, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+#: what joins an envelope's header fields to its trailing result text.
+_RESULT_SEAM = ', "result": '
+
+
+def payload_checksum(payload: Payload) -> str:
+    """SHA-256 over the canonical text of a serialized result.
+
+    ``payload`` is that text (hashed as it is) or a result dict
+    (canonicalised first).  Every checksum the cache tiers compute or
+    check goes through here.
+    """
+    text = payload if isinstance(payload, str) else canonical_text(payload)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def splice_result(header: dict, text: str) -> str:
+    """``json.dumps({**header, "result": result}, sort_keys=True)``.
+
+    ``text`` is the canonical text of ``result``; it is spliced in
+    verbatim instead of being re-serialized.  Every key of ``header``
+    sorts before ``"result"``, so the output is byte-identical.
+    """
+    return json.dumps(header, sort_keys=True)[:-1] + _RESULT_SEAM + text + "}"
+
+
+def split_result(raw: str) -> Optional[Tuple[dict, str]]:
+    """Undo :func:`splice_result`: ``(header, result text)``, or None.
+
+    Only the header is parsed.  None means ``raw`` is not in the spliced
+    layout (its ``result`` field is missing or not last).
+    """
+    seam = raw.find(_RESULT_SEAM)
+    if seam < 0 or not raw.endswith("}"):
+        return None
+    try:
+        header = json.loads(raw[:seam] + "}")
+    except ValueError:
+        return None
+    if not isinstance(header, dict):
+        return None
+    return header, raw[seam + len(_RESULT_SEAM):-1]
+
+
+def verified_text(raw: str, key: str) -> str:
+    """The canonical result text an envelope for ``key`` carries.
+
+    ``raw`` is an envelope of ``checksum``, ``key`` and ``result`` (plus
+    any other header fields, such as a wire frame's ``op``).  The fast
+    path hashes the spliced-out result bytes.  Bytes not in that layout,
+    or whose hash disagrees, are parsed and canonicalised once before
+    they are judged, so hand-written entries are checked as they always
+    were.
+
+    Raises ValueError, KeyError or TypeError when the envelope is
+    malformed, addressed to another key, or fails its checksum.
+    """
+    split = split_result(raw)
+    if split is not None:
+        header, text = split
+        checksum = header.get("checksum")
+        if header.get("key") == key and checksum == payload_checksum(text):
+            return text
+    data = json.loads(raw)
+    result = data["result"]
+    if data["key"] != key:
+        raise ValueError("entry is addressed by a different key")
+    if not isinstance(result, dict):
+        raise ValueError("entry result is not a JSON object")
+    text = canonical_text(result)
+    if data["checksum"] != payload_checksum(text):
+        raise ValueError("entry failed its checksum")
+    return text
 
 
 class FaultInjector:
     """Deterministic disk-fault hooks for the chaos harness.
 
     Subclass (or assign the attributes) to inject failures; the default
-    hooks do nothing.  ``on_read``/``on_write`` run inside
-    :meth:`CompileCache.load` / :meth:`CompileCache.store` and may raise
-    ``OSError`` to simulate I/O failure; ``after_write`` runs after the
+    hooks do nothing.  ``on_read``/``on_write`` run inside every entry
+    read and write (:meth:`CompileCache.get` / :meth:`CompileCache.put`
+    and their object-level forms) and may raise ``OSError`` to simulate
+    I/O failure; ``after_write`` runs after the
     entry has landed under its final name and may mutilate it (truncate,
     overwrite) to simulate a torn write that snuck past the journal.
     """
@@ -103,9 +179,10 @@ class CompileCache(CacheBackend):
     """On-disk result store with hit/miss and corruption accounting.
 
     The disk tier of the tiered cache: implements the
-    :class:`~repro.sweep.tiers.CacheBackend` contract, plus the legacy
-    object-level :meth:`load`/:meth:`store` API the rest of the codebase
-    grew up with.
+    :class:`~repro.sweep.tiers.CacheBackend` contract — ``get``/``put``
+    of canonical text and the object-level ``get_entry``/``put_result``
+    the tier stack calls — on top of :meth:`_read_entry` /
+    :meth:`_write_entry`.
 
     Args:
         cache_dir: entry-tree root (default ``$REPRO_CACHE_DIR``, else
@@ -120,10 +197,11 @@ class CompileCache(CacheBackend):
     Attributes:
         hits / misses / stores: counters since construction (misses count
             only failed lookups, not stores).
-        quarantined: corrupt entries moved aside by :meth:`load`.
-        read_errors: transient I/O failures during :meth:`load` (missed
+        quarantined: corrupt entries moved aside by a read, plus
+            poisoned payloads parked by :meth:`quarantine_payload`.
+        read_errors: transient I/O failures during a read (missed
             without quarantining).
-        store_errors: failed :meth:`store` calls (swallowed, counted).
+        store_errors: failed writes (swallowed, counted).
         evictions: entries removed by the size budget.
         quarantine_evictions: quarantined files removed by the cap.
     """
@@ -164,15 +242,22 @@ class CompileCache(CacheBackend):
 
     # -- read path ----------------------------------------------------------
 
-    def _read_entry(self, key: str) -> Optional[Tuple[dict, CompilationResult]]:
-        """The verified ``(payload, result)`` for ``key``, or None.
+    def _read_entry(
+        self, key: str, decode: bool
+    ) -> Optional[Tuple[Optional[CompilationResult], str]]:
+        """The verified ``(result, text)`` for ``key``, or None.
+
+        ``text`` is the entry's canonical result text, checked against
+        its checksum (see :func:`verified_text`); ``result`` is decoded
+        from it only when ``decode`` is set (else None).
 
         A missing file is a plain miss.  A present-but-unreadable file is
         a miss that counts a ``read_error`` (the bytes may be fine — the
         I/O was not).  A readable file whose contents fail to parse,
-        carry the wrong key, or fail the checksum is quarantined: moved
-        to ``quarantine/`` and counted, so corruption is visible in
-        stats and can never be served or re-hit on the next lookup.
+        carry the wrong key, fail the checksum or fail to decode is
+        quarantined: moved to ``quarantine/`` and counted, so corruption
+        is visible in stats and can never be served or re-hit on the
+        next lookup.
         """
         path = self._path(key)
         try:
@@ -188,12 +273,10 @@ class CompileCache(CacheBackend):
             self.misses += 1
             return None
         try:
-            data = json.loads(raw)
-            if data["key"] != key:
-                raise ValueError("entry is addressed by a different key")
-            if data["checksum"] != payload_checksum(data["result"]):
-                raise ValueError("entry failed its checksum")
-            result = CompilationResult.from_dict(data["result"])
+            text = verified_text(raw, key)
+            result = None
+            if decode:
+                result = CompilationResult.from_dict(json.loads(text))
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
             self._forget(key)
@@ -201,38 +284,41 @@ class CompileCache(CacheBackend):
             return None
         self.hits += 1
         self._touch(key, len(raw))
-        return data["result"], result
+        return result, text
 
-    def _pinned_read(self, key: str) -> Optional[Tuple[dict, CompilationResult]]:
+    def _pinned_read(
+        self, key: str, decode: bool
+    ) -> Optional[Tuple[Optional[CompilationResult], str]]:
         """Read ``key`` with the entry pinned against concurrent eviction."""
         started = time.perf_counter()
         self._pin(key)
         try:
-            return self._read_entry(key)
+            return self._read_entry(key, decode)
         finally:
             self._unpin(key)
             self.get_ms += (time.perf_counter() - started) * 1000.0
 
-    def get(self, key: str) -> Optional[dict]:
-        """CacheBackend contract: the serialized result for ``key``, or None."""
-        entry = self._pinned_read(key)
-        return None if entry is None else entry[0]
+    def get(self, key: str) -> Optional[str]:
+        """CacheBackend contract: the verified canonical text, or None.
 
-    def get_result(self, key: str) -> Optional[CompilationResult]:
-        """The verified cached result for ``key``, or None (see `_read_entry`)."""
-        entry = self._pinned_read(key)
+        The result is never decoded (the cache peer serves it as is).
+        """
+        entry = self._pinned_read(key, decode=False)
         return None if entry is None else entry[1]
+
+    def get_entry(
+        self, key: str
+    ) -> Optional[Tuple[CompilationResult, Optional[str]]]:
+        """The verified cached ``(result, text)`` (see `_read_entry`)."""
+        return self._pinned_read(key, decode=True)
 
     # -- write path ---------------------------------------------------------
 
-    def _write_entry(self, key: str, result_dict: dict) -> None:
+    def _write_entry(self, key: str, text: str) -> None:
         path = self._path(key)
-        envelope = {
-            "key": key,
-            "checksum": payload_checksum(result_dict),
-            "result": result_dict,
-        }
-        text = json.dumps(envelope, sort_keys=True)
+        envelope = splice_result(
+            {"checksum": payload_checksum(text), "key": key}, text
+        )
         tmp = None
         try:
             if self.faults is not None:
@@ -240,7 +326,7 @@ class CompileCache(CacheBackend):
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                handle.write(envelope)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -255,31 +341,26 @@ class CompileCache(CacheBackend):
                 except OSError:
                     pass
         self.stores += 1
-        self._touch(key, len(text))
+        self._touch(key, len(envelope))
         self._evict_to_budget()
         if self.faults is not None:
             self.faults.after_write(path)
 
-    def put(self, key: str, result_dict: dict) -> None:
+    def put(self, key: str, payload: Payload) -> None:
         """Durably persist a serialized result under ``key`` (atomic).
 
-        A failing write is swallowed and counted in ``store_errors``: the
-        cache accelerates later runs, it must never fail the run that is
-        trying to warm it.
+        ``payload`` is canonical text (written verbatim) or a result dict
+        (encoded once).  A failing write is swallowed and counted in
+        ``store_errors``: the cache accelerates later runs, it must never
+        fail the run that is trying to warm it.
         """
         started = time.perf_counter()
         try:
-            self._write_entry(key, result_dict)
+            if not isinstance(payload, str):
+                payload = canonical_text(payload)
+            self._write_entry(key, payload)
         finally:
             self.put_ms += (time.perf_counter() - started) * 1000.0
-
-    def put_result(
-        self,
-        key: str,
-        result: CompilationResult,
-        payload: Optional[dict] = None,
-    ) -> None:
-        self.put(key, payload if payload is not None else result.to_dict())
 
     # -- LRU size budget ----------------------------------------------------
 
@@ -394,7 +475,7 @@ class CompileCache(CacheBackend):
         self._trim_quarantine()
 
     def quarantine_payload(
-        self, key: str, result_dict: dict, reason: str = "remote"
+        self, key: str, payload: Payload, reason: str = "remote"
     ) -> None:
         """Park a poisoned payload that never touched the entry tree.
 
@@ -402,16 +483,18 @@ class CompileCache(CacheBackend):
         that fails replay validation: the bytes were never written under
         ``<key[:2]>/<key>.json``, but keeping them around (bounded, like
         every quarantined entry) makes the poisoning diagnosable.
+        ``payload`` is the text the tier served (kept verbatim) or a
+        result dict.
         """
+        if not isinstance(payload, str):
+            payload = canonical_text(payload)
         target_dir = self.root / QUARANTINE_DIR
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
             target = target_dir / f"{key}.{reason}.json"
             with open(target, "w") as handle:
-                json.dump(
-                    {"key": key, "reason": reason, "result": result_dict},
-                    handle,
-                    sort_keys=True,
+                handle.write(
+                    splice_result({"key": key, "reason": reason}, payload)
                 )
         except OSError:
             return

@@ -238,21 +238,26 @@ class SweepEngine:
         Replay-validates the entry against the job's own circuit and
         config — regardless of ``self.validate``, since remote bytes
         crossed a trust boundary.  A failing entry is quarantined in the
-        local disk cache (evidence for debugging a bad peer) and the
-        lookup treats it as a miss.
+        local disk cache — the very text the tier served, as evidence for
+        debugging a bad peer — and the lookup treats it as a miss.
         """
         from ..verify import validate_result
 
         def guard(
-            tier: CacheBackend, key: str, result: CompilationResult
+            tier: CacheBackend,
+            key: str,
+            result: CompilationResult,
+            text: Optional[str],
         ) -> bool:
             report = validate_result(result, circuit, config, label=circuit.name)
             if report.ok:
                 self._validated.add(key)
                 return True
             if self.cache is not None:
+                # the served bytes are the evidence; an object tier has none
                 self.cache.quarantine_payload(
-                    key, result.to_dict(), reason=tier.name
+                    key, text if text is not None else result.to_dict(),
+                    reason=tier.name,
                 )
             return False
 

@@ -5,10 +5,12 @@ inside :class:`~repro.sweep.executor.SweepEngine`, the crash-safe disk
 :class:`~repro.sweep.cache.CompileCache`, and nothing at all between
 fleet members.  This module gives every tier the same shape:
 
-* :class:`CacheBackend` — the contract: ``get(key) -> result dict | None``,
-  ``put(key, result_dict)``, ``stats()``.  Every backend counts hits,
-  misses, puts, evictions, errors and cumulative get/put latency, so the
-  service ``stats`` op and ``repro bench`` meta can report each tier.
+* :class:`CacheBackend` — the contract: ``get(key) -> text | None``,
+  ``put(key, payload)``, ``stats()``, where the payload is a result's
+  **canonical text** (:func:`canonical_text`, the one serialisation every
+  tier stores, hashes and ships).  Every backend counts hits, misses,
+  puts, evictions, errors and cumulative get/put latency, so the service
+  ``stats`` op and ``repro bench`` meta can report each tier.
 * :class:`MemoryCache` — the in-process memo tier: a bounded LRU of
   live :class:`~repro.compiler.result.CompilationResult` objects
   (``SweepEngine._memo``, extracted and given an eviction policy).
@@ -26,36 +28,60 @@ memo; a disk hit warms memo), so the next lookup resolves at the
 cheapest possible tier.  A fill (freshly compiled result) lands in every
 tier, which is how one engine's compile becomes the whole fleet's warm
 hit.
+
+A result is serialised to its canonical text at most once: a fill
+encodes it once for every tier, and a promotion hands the tiers above
+the very text the serving tier verified, so a remote hit lands on disk
+without being re-encoded.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..compiler.result import CompilationResult
 
 #: default bound on the in-process memo tier (entries, not bytes).
 DEFAULT_MEMO_LIMIT = 4096
 
+#: a serialized result: its canonical text, or a result dict (encoded
+#: with :func:`canonical_text` where text is needed).
+Payload = Union[str, dict]
+
 #: a guard decides whether a hit from an untrusted tier may be served:
-#: ``guard(tier, key, result) -> bool``.  False rejects the entry (the
-#: lookup continues deeper / misses); the guard is responsible for any
-#: local quarantine bookkeeping.
-IngestGuard = Callable[["CacheBackend", str, CompilationResult], bool]
+#: ``guard(tier, key, result, text) -> bool``, where ``text`` is the
+#: canonical text the tier served.  False rejects the entry (the lookup
+#: continues deeper / misses); the guard is responsible for any local
+#: quarantine bookkeeping.
+IngestGuard = Callable[
+    ["CacheBackend", str, CompilationResult, Optional[str]], bool
+]
+
+
+def canonical_text(result_dict: dict) -> str:
+    """The canonical text of a serialized result: sorted-key JSON.
+
+    The one encoding every serialized tier stores and checksums, and the
+    one the remote peer ships; a fill computes it once per result.
+    """
+    return json.dumps(result_dict, sort_keys=True)
 
 
 class CacheBackend:
     """Contract and shared accounting for one cache tier.
 
-    Subclasses implement ``_get(key) -> Optional[dict]`` and
-    ``_put(key, result_dict)``; the public :meth:`get`/:meth:`put`
-    wrappers record hit/miss/put counters and cumulative latency.
+    Subclasses implement ``_get(key) -> Optional[str]`` and
+    ``_put(key, payload)``; the public :meth:`get`/:meth:`put` wrappers
+    record hit/miss/put counters and cumulative latency.
+    :class:`TieredCache` reads through :meth:`get_entry`, which also
+    yields the text a hit was verified as, so promotion can carry it.
     Backends that hold live result objects (the memo tier) override
-    :meth:`get_result`/:meth:`put_result` to skip the dict round-trip —
-    those overrides must record the same counters via
+    :meth:`get_entry`/:meth:`put_result` to skip serialization — those
+    overrides must record the same counters via
     :meth:`_record_get`/:meth:`_record_put`.
 
     Attributes:
@@ -65,7 +91,7 @@ class CacheBackend:
             :class:`TieredCache` replay-validates their hits on ingest.
         object_store: True when the tier stores live result objects and
             ignores the serialized payload (lets :class:`TieredCache`
-            skip ``to_dict`` when no dict-storing tier needs filling).
+            skip serialization when no text-storing tier needs filling).
     """
 
     name = "tier"
@@ -100,47 +126,58 @@ class CacheBackend:
             self.put_ms += elapsed
             self.puts += 1
 
-    # -- the dict-level contract --------------------------------------------
+    # -- the serialized contract ---------------------------------------------
 
-    def get(self, key: str) -> Optional[dict]:
-        """The serialized result stored under ``key``, or None (a miss)."""
+    def get(self, key: str) -> Optional[str]:
+        """The canonical text stored under ``key``, or None (a miss)."""
         started = time.perf_counter()
-        payload = self._get(key)
-        self._record_get(payload is not None, started)
-        return payload
+        text = self._get(key)
+        self._record_get(text is not None, started)
+        return text
 
-    def put(self, key: str, result_dict: dict) -> None:
+    def put(self, key: str, payload: Payload) -> None:
         """Store a serialized result under ``key`` (best effort)."""
         started = time.perf_counter()
-        self._put(key, result_dict)
+        self._put(key, payload)
         self._record_put(started)
 
-    def _get(self, key: str) -> Optional[dict]:
+    def _get(self, key: str) -> Optional[str]:
         raise NotImplementedError
 
-    def _put(self, key: str, result_dict: dict) -> None:
+    def _put(self, key: str, payload: Payload) -> None:
         raise NotImplementedError
 
     # -- object-level fast path (what the engine actually calls) ------------
 
+    def get_entry(
+        self, key: str
+    ) -> Optional[Tuple[CompilationResult, Optional[str]]]:
+        """``(result, text)`` for ``key``, or None on a miss.
+
+        ``text`` is the canonical text the result was read from (None
+        from tiers that hold live objects).
+        """
+        text = self.get(key)
+        if text is None:
+            return None
+        return CompilationResult.from_dict(json.loads(text)), text
+
     def get_result(self, key: str) -> Optional[CompilationResult]:
         """Like :meth:`get` but returning a live result object."""
-        payload = self.get(key)
-        if payload is None:
-            return None
-        return CompilationResult.from_dict(payload)
+        entry = self.get_entry(key)
+        return None if entry is None else entry[0]
 
     def put_result(
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[Payload] = None,
     ) -> None:
         """Like :meth:`put` from a live result.
 
         ``payload`` lets callers that already serialized the result (a
-        worker round-trip, a fill into several tiers) avoid repeating
-        ``to_dict`` per tier.
+        worker round-trip, a fill into several tiers, a promotion of
+        verified text) avoid serializing it again per tier.
         """
         self.put(key, payload if payload is not None else result.to_dict())
 
@@ -200,24 +237,28 @@ class MemoryCache(CacheBackend):
             with self._stats_lock:
                 self.evictions += evicted
 
-    def _get(self, key: str) -> Optional[dict]:
+    def _get(self, key: str) -> Optional[str]:
         result = self._fetch(key)
-        return None if result is None else result.to_dict()
+        return None if result is None else canonical_text(result.to_dict())
 
-    def _put(self, key: str, result_dict: dict) -> None:
-        self._insert(key, CompilationResult.from_dict(result_dict))
+    def _put(self, key: str, payload: Payload) -> None:
+        if isinstance(payload, str):
+            payload = json.loads(payload)
+        self._insert(key, CompilationResult.from_dict(payload))
 
-    def get_result(self, key: str) -> Optional[CompilationResult]:
+    def get_entry(
+        self, key: str
+    ) -> Optional[Tuple[CompilationResult, Optional[str]]]:
         started = time.perf_counter()
         result = self._fetch(key)
         self._record_get(result is not None, started)
-        return result
+        return None if result is None else (result, None)
 
     def put_result(
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[Payload] = None,
     ) -> None:
         started = time.perf_counter()
         self._insert(key, result)
@@ -265,38 +306,44 @@ class TieredCache:
     ) -> Optional[Tuple[CompilationResult, str]]:
         """Resolve ``key`` to ``(result, tier_name)``, or None on a miss."""
         for depth, tier in enumerate(self.tiers):
-            result = tier.get_result(key)
-            if result is None:
+            entry = tier.get_entry(key)
+            if entry is None:
                 continue
+            result, text = entry
             if not tier.trusted and guard is not None:
-                if not guard(tier, key, result):
+                if not guard(tier, key, result, text):
                     with tier._stats_lock:
                         tier.rejected += 1
                     continue
-            self._promote(key, result, depth)
+            # promote the verified text itself: no re-encoding on the way up
+            self._store(self.tiers[:depth], key, result, text)
             return result, tier.name
         return None
-
-    def _promote(self, key: str, result: CompilationResult, depth: int) -> None:
-        if depth == 0:
-            return
-        upper = self.tiers[:depth]
-        payload = None
-        if any(not tier.object_store for tier in upper):
-            payload = result.to_dict()
-        for tier in upper:
-            tier.put_result(key, result, payload)
 
     def fill(
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        payload: Optional[Payload] = None,
     ) -> None:
         """Store a fresh result in every tier (serializing at most once)."""
-        if payload is None and any(not t.object_store for t in self.tiers):
-            payload = result.to_dict()
-        for tier in self.tiers:
+        self._store(self.tiers, key, result, payload)
+
+    @staticmethod
+    def _store(
+        tiers: Sequence[CacheBackend],
+        key: str,
+        result: CompilationResult,
+        payload: Optional[Payload],
+    ) -> None:
+        """``put_result`` into ``tiers``, encoding the canonical text once."""
+        if not isinstance(payload, str) and any(
+            not tier.object_store for tier in tiers
+        ):
+            payload = canonical_text(
+                payload if payload is not None else result.to_dict()
+            )
+        for tier in tiers:
             tier.put_result(key, result, payload)
 
     def stats(self) -> Dict[str, dict]:
