@@ -16,6 +16,24 @@ from ..scheduling.redundant_moves import EliminationReport
 FINGERPRINT_FIELDS = ("makespan", "num_ops", "num_moves", "stats")
 
 
+def canonical_text(result_dict: dict) -> str:
+    """The canonical text of a serialized result: sorted-key JSON whose
+    ``schedule`` is columnar (see :meth:`Schedule.to_columns`).
+
+    A per-op ``schedule`` (the :meth:`CompilationResult.to_dict` form) is
+    converted to columns here and nowhere else; a columnar one is kept as
+    it is.  The one encoding every serialized cache tier stores and
+    checksums, and the one the remote peer ships.
+    """
+    import json  # imported here: compiling a circuit never serializes one
+
+    schedule = result_dict.get("schedule")
+    if isinstance(schedule, dict) and "ops" in schedule:
+        columns = Schedule.from_dict(schedule).to_columns()
+        result_dict = {**result_dict, "schedule": columns}
+    return json.dumps(result_dict, sort_keys=True)
+
+
 @dataclass
 class CompilationResult:
     """Everything the evaluation section needs from one compile run.
@@ -113,14 +131,43 @@ class CompilationResult:
     # -- serialization ----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Stable JSON-safe form (used by the sweep cache and worker IPC).
+        """Stable JSON-safe form with one dict per schedule op.
 
-        The layout is stored by its generating parameters, not cell-by-cell:
+        The Python form code and tests edit; :func:`canonical_text`
+        turns it into the stored text.  The layout is stored by its
+        generating parameters, not cell-by-cell:
         :func:`~repro.arch.layout.build_layout` is deterministic, so
         ``(num_data, routing_paths)`` reconstructs the identical grid.
         """
+        return self._as_dict(self.schedule.to_dict())
+
+    def to_text(self) -> str:
+        """The canonical text, ``canonical_text(self.to_dict())``.
+
+        Built from the live ops straight into columns, with no per-op
+        dicts: the encoder of every cache fill and worker round trip.
+        """
+        return canonical_text(self._as_dict(self.schedule.to_columns()))
+
+    @classmethod
+    def from_text(cls, text: str) -> "CompilationResult":
+        """Decode canonical text (the inverse of :meth:`to_text`).
+
+        Raises ValueError, KeyError or TypeError on text that is not a
+        serialized result, or not canonical: a per-op schedule is refused
+        here, so checksummed per-op bytes are never served as if they
+        were the canonical text.
+        """
+        import json
+
+        data = json.loads(text)
+        if "ops" in data["schedule"]:
+            raise ValueError("not canonical text: the schedule is per-op")
+        return cls.from_dict(data)
+
+    def _as_dict(self, schedule: dict) -> dict:
         return {
-            "schedule": self.schedule.to_dict(),
+            "schedule": schedule,
             "layout": {
                 "num_data": self.layout.num_data,
                 "routing_paths": self.layout.routing_paths,
@@ -141,6 +188,7 @@ class CompilationResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompilationResult":
+        """Rebuild from :meth:`to_dict` output or parsed canonical text."""
         from ..arch.layout import build_layout
 
         profile_data = dict(data["profile"])

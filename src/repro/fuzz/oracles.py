@@ -23,8 +23,11 @@ that keep the *same* oracle failing) and corpus bookkeeping.
     its inputs (profile, qubit accounting, spacetime volume, elimination
     report presence).
 ``serialization-roundtrip``
-    ``CompilationResult.from_dict(json(to_dict()))`` is lossless — the
-    invariant the sweep cache, the worker IPC and the service all lean on.
+    ``CompilationResult.from_dict(json(to_dict()))`` and
+    ``CompilationResult.from_text(to_text())`` are lossless, and the
+    columnar canonical text ``to_text()`` equals ``canonical_text(to_dict())``
+    and survives its own round trip — the invariants the cache tiers, the
+    worker IPC and the service all lean on.
 ``baseline-sanity``
     The compiled makespan never exceeds the pessimistic fully-serial
     ceiling of :mod:`repro.baselines.serial`.
@@ -50,7 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..baselines.lower_bound import distillation_lower_bound
 from ..baselines.serial import pessimistic_serial_time
 from ..compiler.pipeline import FaultTolerantCompiler
-from ..compiler.result import CompilationResult
+from ..compiler.result import CompilationResult, canonical_text
 from ..ir import qasm
 from ..ir.properties import profile as circuit_profile
 from ..verify import validate_result
@@ -387,34 +390,36 @@ def _check_metrics(
 
 
 def _check_serialization(result: CompilationResult) -> List[OracleFailure]:
+    """Both serialized forms round-trip losslessly: the per-op
+    ``to_dict`` JSON and the columnar canonical text (``to_text``)."""
+
+    def failure(message: str, **details: Any) -> List[OracleFailure]:
+        return [OracleFailure("serialization-roundtrip", message, details)]
+
+    original = result.to_dict()
     try:
-        payload = json.loads(json.dumps(result.to_dict(), sort_keys=True))
-        rebuilt = CompilationResult.from_dict(payload)
+        text = result.to_text()
+        rebuilt = {
+            "to_dict": CompilationResult.from_dict(
+                json.loads(json.dumps(original, sort_keys=True))
+            ),
+            "canonical text": CompilationResult.from_text(text),
+        }
     except Exception as exc:  # noqa: BLE001
-        return [
-            OracleFailure(
-                "serialization-roundtrip",
-                f"to_dict/from_dict raised {type(exc).__name__}: {exc}",
+        return failure(f"serialization raised {type(exc).__name__}: {exc}")
+    if text != canonical_text(original):
+        return failure("to_text() differs from canonical_text(to_dict())")
+    for form, back in rebuilt.items():
+        if back.to_dict() != original:
+            return failure(f"to_dict() not a fixpoint across the {form} round trip")
+        if back.fingerprint() != result.fingerprint():
+            return failure(
+                f"fingerprint changed across the {form} round trip",
+                before=result.fingerprint(),
+                after=back.fingerprint(),
             )
-        ]
-    if rebuilt.to_dict() != result.to_dict():
-        return [
-            OracleFailure(
-                "serialization-roundtrip",
-                "to_dict() not a fixpoint across from_dict()",
-            )
-        ]
-    if rebuilt.fingerprint() != result.fingerprint():
-        return [
-            OracleFailure(
-                "serialization-roundtrip",
-                "fingerprint changed across serialization",
-                details={
-                    "before": result.fingerprint(),
-                    "after": rebuilt.fingerprint(),
-                },
-            )
-        ]
+    if rebuilt["canonical text"].to_text() != text:
+        return failure("canonical text changed across its round trip")
     return []
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..arch.grid import Position
@@ -126,6 +127,55 @@ class ScheduledOp:
         return f"[{self.start:7.1f} +{self.duration:4.1f}] {self.name:6s} q({qubits})"
 
 
+def _intern(values: List) -> Tuple[List, List[int]]:
+    """``(table, indices)``: distinct values in first-seen order."""
+    table: Dict = {}
+    indices = [table.setdefault(value, len(table)) for value in values]
+    return list(table), indices
+
+
+def _split(flat: List, counts: List[int]) -> List[tuple]:
+    """``flat`` cut into consecutive tuples of ``counts`` items each."""
+    ends = list(accumulate(counts))
+    if (ends[-1] if ends else 0) != len(flat):
+        raise ValueError("columnar schedule counts disagree with its data")
+    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+#: the :meth:`Schedule.to_columns` arrays that hold one entry per op.
+_PER_OP_COLUMNS = (
+    "uid", "kind", "name", "qubit_counts", "cell_counts", "start",
+    "duration", "min_start", "gate_index", "note",
+)
+
+
+def _ops_of(columns: dict) -> List[ScheduledOp]:
+    """The ops of a :meth:`Schedule.to_columns` dict, in order.
+
+    Raises ValueError when the columns disagree in length (KeyError or
+    TypeError when one is missing or malformed).
+    """
+    if len({len(columns[name]) for name in _PER_OP_COLUMNS}) > 1:
+        raise ValueError("columnar schedule arrays differ in length")
+    kinds, names, notes = columns["kinds"], columns["names"], columns["notes"]
+    coords = columns["cells"]
+    if len(coords) % 2:
+        raise ValueError("schedule cells must be (row, col) pairs")
+    return list(map(
+        ScheduledOp,
+        columns["uid"],
+        [kinds[i] for i in columns["kind"]],
+        [names[i] for i in columns["name"]],
+        _split(columns["qubits"], columns["qubit_counts"]),
+        _split(list(zip(coords[0::2], coords[1::2])), columns["cell_counts"]),
+        columns["start"],
+        columns["duration"],
+        columns["min_start"],
+        columns["gate_index"],
+        [notes[i] for i in columns["note"]],
+    ))
+
+
 @dataclass
 class Schedule:
     """An ordered list of :class:`ScheduledOp` plus summary statistics."""
@@ -193,12 +243,51 @@ class Schedule:
             raise ValueError(validator.report.summary())
 
     def to_dict(self) -> dict:
-        """JSON-safe representation (the sweep cache's on-disk form)."""
+        """JSON-safe representation, one dict per op (the editable form)."""
         return {"ops": [op.to_dict() for op in self.ops]}
+
+    def to_columns(self) -> dict:
+        """The columnar form: one JSON array per op field, not one dict per op.
+
+        ``uid``, ``start``, ``duration``, ``min_start`` and ``gate_index``
+        are parallel arrays; ``kind``, ``name`` and ``note`` are indices
+        into the interned ``kinds``/``names``/``notes`` tables; qubits and
+        cells are flattened (cells as ``row, col`` pairs) with per-op
+        ``qubit_counts`` and ``cell_counts``.  Values keep their JSON
+        types, so :meth:`from_dict` restores every op exactly.
+        """
+        ops = self.ops
+        kinds, kind = _intern([op.kind for op in ops])
+        names, name = _intern([op.name for op in ops])
+        notes, note = _intern([op.note for op in ops])
+        cell_counts = [len(op.cells) for op in ops]
+        coords = [value for op in ops for cell in op.cells for value in cell]
+        if len(coords) != 2 * sum(cell_counts):
+            raise ValueError("schedule cells must be (row, col) pairs")
+        return {
+            "uid": [op.uid for op in ops],
+            "kind": kind,
+            "kinds": kinds,
+            "name": name,
+            "names": names,
+            "qubit_counts": [len(op.qubits) for op in ops],
+            "qubits": [q for op in ops for q in op.qubits],
+            "cell_counts": cell_counts,
+            "cells": coords,
+            "start": [op.start for op in ops],
+            "duration": [op.duration for op in ops],
+            "min_start": [op.min_start for op in ops],
+            "gate_index": [op.gate_index for op in ops],
+            "note": note,
+            "notes": notes,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        return cls(ops=[ScheduledOp.from_dict(op) for op in data["ops"]])
+        """Rebuild from :meth:`to_dict` or :meth:`to_columns` output."""
+        if "ops" in data:
+            return cls(ops=[ScheduledOp.from_dict(op) for op in data["ops"]])
+        return cls(ops=_ops_of(data))
 
     def timeline_text(self, limit: int = 40) -> str:
         """Human-readable dump of the first ``limit`` ops."""

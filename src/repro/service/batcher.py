@@ -277,11 +277,11 @@ class CompileBroker:
                 await self._acquire_slot(loop)
                 job.compiling = True
                 try:
-                    payload = await asyncio.wrap_future(
+                    text = await asyncio.wrap_future(
                         self.engine.submit(circuit, config), loop=loop
                     )
                     result = await loop.run_in_executor(
-                        None, self.engine.adopt, circuit, config, payload, key
+                        None, self.engine.adopt, circuit, config, text, key
                     )
                 finally:
                     job.compiling = False

@@ -33,16 +33,15 @@ Design rules, in order of importance:
 
 from __future__ import annotations
 
-import json
 import random
 import socket
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..compiler.result import CompilationResult
+from ..compiler.result import CompilationResult, canonical_text
 from ..sweep.cache import payload_checksum, verified_text
-from ..sweep.tiers import CacheBackend, Payload, canonical_text
+from ..sweep.tiers import CacheBackend, Payload
 from . import protocol
 from .client import RetryPolicy
 
@@ -232,7 +231,7 @@ class RemoteCache(CacheBackend):
         text = self._get(key)
         if text is not None:
             try:
-                entry = CompilationResult.from_dict(json.loads(text)), text
+                entry = CompilationResult.from_text(text), text
             except (ValueError, KeyError, TypeError):
                 # checksummed bytes that do not decode to a result
                 self.corrupt += 1

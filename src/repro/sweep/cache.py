@@ -24,7 +24,9 @@ The store is crash-safe in both directions:
   *counted*, not raised: the cache is an accelerator, so the caller's
   freshly compiled result must still reach the client.
 * **reads** verify a SHA-256 checksum recorded at write time over the
-  canonical result text (:func:`~repro.sweep.tiers.canonical_text`).
+  canonical result text (sorted-key JSON with a columnar schedule; see
+  :func:`~repro.compiler.result.canonical_text`), and decode the text
+  with :meth:`~repro.compiler.result.CompilationResult.from_text`.
   An entry is ``{"checksum": C, "key": K, "result": <text>}`` with the
   text spliced in verbatim, so a reader splits off the small header and
   hashes the result's bytes without re-serializing them; only bytes that
@@ -58,8 +60,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from ..compiler.result import CompilationResult
-from .tiers import CacheBackend, Payload, canonical_text
+from ..compiler.result import CompilationResult, canonical_text
+from .tiers import CacheBackend, Payload
 
 #: environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -276,7 +278,7 @@ class CompileCache(CacheBackend):
             text = verified_text(raw, key)
             result = None
             if decode:
-                result = CompilationResult.from_dict(json.loads(text))
+                result = CompilationResult.from_text(text)
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
             self._forget(key)

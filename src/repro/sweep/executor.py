@@ -17,10 +17,12 @@ compiles through.  Resolution order for every job (the tier stack of
    :meth:`SweepEngine.prefetch` (the pool survives worker crashes and
    enforces per-job deadlines; see :mod:`repro.sweep.supervisor`).
 
-Workers ship results back as their stable ``to_dict`` form (the same bytes
-the cache persists), so a result is identical whether it was computed
-serially, in a worker, or read back from disk — parallel and cached runs
-are bit-identical to serial ones.
+Workers ship results back as their canonical text (the same bytes the
+cache persists, see :meth:`~repro.compiler.result.CompilationResult.to_text`),
+so a result is identical whether it was computed serially, in a worker,
+or read back from disk — parallel and cached runs are bit-identical to
+serial ones — and the parent fills every tier with that text without
+encoding the result again.
 
 The engine is installed per run with :func:`use_engine`;
 ``experiments.runner`` falls back to a private serial engine when none is
@@ -95,10 +97,10 @@ class SweepCounters:
         )
 
 
-def _compile_payload(payload: Tuple[Circuit, CompilerConfig]) -> dict:
-    """Worker entry point: compile one job, return the serialized result."""
+def _compile_payload(payload: Tuple[Circuit, CompilerConfig]) -> str:
+    """Worker entry point: compile one job, return its canonical text."""
     circuit, config = payload
-    return FaultTolerantCompiler(config).compile(circuit).to_dict()
+    return FaultTolerantCompiler(config).compile(circuit).to_text()
 
 
 class SweepEngine:
@@ -256,7 +258,7 @@ class SweepEngine:
             if self.cache is not None:
                 # the served bytes are the evidence; an object tier has none
                 self.cache.quarantine_payload(
-                    key, text if text is not None else result.to_dict(),
+                    key, text if text is not None else result.to_text(),
                     reason=tier.name,
                 )
             return False
@@ -288,10 +290,10 @@ class SweepEngine:
         self,
         key: str,
         result: CompilationResult,
-        payload: Optional[dict] = None,
+        text: Optional[str] = None,
     ) -> None:
         """Fill every tier (memo, disk, and the remote peer when present)."""
-        self.tiers.fill(key, result, payload)
+        self.tiers.fill(key, result, text)
 
     @property
     def validated_keys(self) -> frozenset:
@@ -349,12 +351,12 @@ class SweepEngine:
             return None
         return self._pool.stats.as_dict()
 
-    def submit(self, circuit: Circuit, config: CompilerConfig) -> "Future[dict]":
+    def submit(self, circuit: Circuit, config: CompilerConfig) -> "Future[str]":
         """Dispatch one compile to the persistent pool.
 
-        Returns a future of the result's stable ``to_dict`` payload (the
-        same bytes the cache persists).  The caller is expected to hand
-        the payload back to :meth:`adopt`, which folds it into the memo,
+        Returns a future of the result's canonical text (the same bytes
+        the cache persists).  The caller is expected to hand the text
+        back to :meth:`adopt`, which folds it into the memo,
         the disk cache and the counters.  Cache lookup is *not* performed
         here — pair with :meth:`cached_result` first.
         """
@@ -386,24 +388,25 @@ class SweepEngine:
         self,
         circuit: Circuit,
         config: CompilerConfig,
-        payload: dict,
+        text: str,
         key: Optional[str] = None,
     ) -> CompilationResult:
-        """Fold a worker-produced ``to_dict`` payload into this engine.
+        """Fold a worker-produced canonical text into this engine.
 
-        Counts the compilation, memoises (and persists) the result, and
-        validates it when the engine validates.  This is the collection
-        half of :meth:`submit`, split out so an async caller can await
-        the worker future on its own event loop.
+        Counts the compilation, memoises the result, persists ``text``
+        itself (no re-encoding), and validates the result when the engine
+        validates.  This is the collection half of :meth:`submit`, split
+        out so an async caller can await the worker future on its own
+        event loop.
         """
-        result = CompilationResult.from_dict(payload)
+        result = CompilationResult.from_text(text)
         if key is None:
             key = job_key(circuit, config)
         with self._lock:
             self.counters.compiled += 1
         # validate before persisting (see :meth:`compile`)
         self._check(circuit, config, result, key, fresh=True)
-        self._remember(key, result, payload)
+        self._remember(key, result, text)
         return result
 
     def shutdown(self) -> None:
@@ -494,12 +497,12 @@ class SweepEngine:
         ]
         for job, future in zip(missing, futures):
             try:
-                payload = future.result()
+                text = future.result()
             except Exception:
                 if not tolerant:
                     raise
                 continue  # the per-job check re-finds and attributes it
-            self.adopt(job.circuit, job.config, payload, job.key)
+            self.adopt(job.circuit, job.config, text, job.key)
             if progress is not None:
                 progress(f"compiled {job.tag or 'job'} {job.key[:12]}")
 

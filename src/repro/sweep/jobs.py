@@ -32,7 +32,9 @@ from ..ir.circuit import Circuit
 #: serialization-format version; part of every job key.
 #: 2: CompilationResult gained ``aux_stats``; older cached payloads would
 #: deserialize with empty diagnostics, so re-address them.
-CACHE_SCHEMA = 2
+#: 3: the stored schedule is columnar (``Schedule.to_columns``): parallel
+#: field arrays and interned kind/name/note tables, not one object per op.
+CACHE_SCHEMA = 3
 
 
 @lru_cache(maxsize=1)

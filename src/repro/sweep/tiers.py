@@ -7,10 +7,19 @@ fleet members.  This module gives every tier the same shape:
 
 * :class:`CacheBackend` — the contract: ``get(key) -> text | None``,
   ``put(key, payload)``, ``stats()``, where the payload is a result's
-  **canonical text** (:func:`canonical_text`, the one serialisation every
-  tier stores, hashes and ships).  Every backend counts hits, misses,
-  puts, evictions, errors and cumulative get/put latency, so the service
-  ``stats`` op and ``repro bench`` meta can report each tier.
+  **canonical text**: the one serialisation every tier stores, hashes
+  and ships — sorted-key JSON whose schedule is stored in columns
+  (parallel field arrays, interned kind/name/note tables, flattened
+  qubits and cells; see
+  :meth:`~repro.scheduling.events.Schedule.to_columns`).
+  :meth:`~repro.compiler.result.CompilationResult.to_text` encodes it
+  from a live result,
+  :meth:`~repro.compiler.result.CompilationResult.from_text` decodes
+  it, and :func:`~repro.compiler.result.canonical_text` is the one
+  place a per-op ``to_dict`` payload is converted to it.  Every backend
+  counts hits, misses, puts, evictions, errors and cumulative get/put
+  latency, so the service ``stats`` op and ``repro bench`` meta can
+  report each tier.
 * :class:`MemoryCache` — the in-process memo tier: a bounded LRU of
   live :class:`~repro.compiler.result.CompilationResult` objects
   (``SweepEngine._memo``, extracted and given an eviction policy).
@@ -30,26 +39,27 @@ tier, which is how one engine's compile becomes the whole fleet's warm
 hit.
 
 A result is serialised to its canonical text at most once: a fill
-encodes it once for every tier, and a promotion hands the tiers above
-the very text the serving tier verified, so a remote hit lands on disk
-without being re-encoded.
+encodes it once for every tier (a worker-compiled fill arrives as the
+worker's text and is not encoded in this process at all), and a
+promotion hands the tiers above the very text the serving tier
+verified, so a remote hit lands on disk without being re-encoded.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..compiler.result import CompilationResult
+from ..compiler.result import CompilationResult, canonical_text
 
 #: default bound on the in-process memo tier (entries, not bytes).
 DEFAULT_MEMO_LIMIT = 4096
 
 #: a serialized result: its canonical text, or a result dict (encoded
-#: with :func:`canonical_text` where text is needed).
+#: with :func:`~repro.compiler.result.canonical_text` where text is
+#: needed).
 Payload = Union[str, dict]
 
 #: a guard decides whether a hit from an untrusted tier may be served:
@@ -60,15 +70,6 @@ Payload = Union[str, dict]
 IngestGuard = Callable[
     ["CacheBackend", str, CompilationResult, Optional[str]], bool
 ]
-
-
-def canonical_text(result_dict: dict) -> str:
-    """The canonical text of a serialized result: sorted-key JSON.
-
-    The one encoding every serialized tier stores and checksums, and the
-    one the remote peer ships; a fill computes it once per result.
-    """
-    return json.dumps(result_dict, sort_keys=True)
 
 
 class CacheBackend:
@@ -160,7 +161,7 @@ class CacheBackend:
         text = self.get(key)
         if text is None:
             return None
-        return CompilationResult.from_dict(json.loads(text)), text
+        return CompilationResult.from_text(text), text
 
     def get_result(self, key: str) -> Optional[CompilationResult]:
         """Like :meth:`get` but returning a live result object."""
@@ -179,7 +180,7 @@ class CacheBackend:
         worker round-trip, a fill into several tiers, a promotion of
         verified text) avoid serializing it again per tier.
         """
-        self.put(key, payload if payload is not None else result.to_dict())
+        self.put(key, payload if payload is not None else result.to_text())
 
     # -- reporting ----------------------------------------------------------
 
@@ -239,12 +240,15 @@ class MemoryCache(CacheBackend):
 
     def _get(self, key: str) -> Optional[str]:
         result = self._fetch(key)
-        return None if result is None else canonical_text(result.to_dict())
+        return None if result is None else result.to_text()
 
     def _put(self, key: str, payload: Payload) -> None:
-        if isinstance(payload, str):
-            payload = json.loads(payload)
-        self._insert(key, CompilationResult.from_dict(payload))
+        self._insert(
+            key,
+            CompilationResult.from_text(payload)
+            if isinstance(payload, str)
+            else CompilationResult.from_dict(payload),
+        )
 
     def get_entry(
         self, key: str
@@ -340,8 +344,8 @@ class TieredCache:
         if not isinstance(payload, str) and any(
             not tier.object_store for tier in tiers
         ):
-            payload = canonical_text(
-                payload if payload is not None else result.to_dict()
+            payload = (
+                result.to_text() if payload is None else canonical_text(payload)
             )
         for tier in tiers:
             tier.put_result(key, result, payload)

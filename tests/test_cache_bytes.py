@@ -33,6 +33,12 @@ def _entry_path(root, key):
     return root / key[:2] / f"{key}.json"
 
 
+def _stored(result):
+    """The result as the tiers store it: parsed canonical text, whose
+    schedule is columnar (``to_dict`` keeps one dict per op)."""
+    return json.loads(canonical_text(result.to_dict()))
+
+
 def _canonical_envelope(key, payload):
     return json.dumps(
         {"checksum": payload_checksum(payload), "key": key, "result": payload},
@@ -43,7 +49,7 @@ def _canonical_envelope(key, payload):
 class TestByteIdentity:
     def test_disk_entry_is_the_canonical_envelope(self, tmp_path, compiled):
         *_, key, result = compiled
-        payload = result.to_dict()
+        payload = _stored(result)
         CompileCache(tmp_path).put_result(key, result)
         written = _entry_path(tmp_path, key).read_text()
         assert written == _canonical_envelope(key, payload)
@@ -65,7 +71,7 @@ class TestByteIdentity:
 
     def test_spliced_frames_equal_encode_line(self, compiled):
         *_, key, result = compiled
-        payload = result.to_dict()
+        payload = _stored(result)
         text = canonical_text(payload)
         checksum = payload_checksum(payload)
         put = {"op": "cache-put", "key": key, "checksum": checksum}
@@ -81,7 +87,7 @@ class TestByteIdentity:
     def test_wire_frames_equal_encode_line(self, tmp_path, compiled):
         """What the client sends and the peer answers, byte for byte."""
         *_, key, result = compiled
-        payload = result.to_dict()
+        payload = _stored(result)
         checksum = payload_checksum(payload)
         with CachePeerThread(cache=CompileCache(tmp_path)) as peer:
             with RemoteCache(*peer.address) as remote:
@@ -114,7 +120,7 @@ class TestByteIdentity:
         line = protocol.encode_line({"op": "cache-put", "key": key}, text)
         header, whole = protocol.decode_header(line)
         assert header == {"op": "cache-put", "key": key}
-        assert json.loads(whole)["result"] == result.to_dict()
+        assert json.loads(whole)["result"] == _stored(result)
         plain = protocol.encode_line({"op": "ping"})
         assert protocol.decode_header(plain)[0] == {"op": "ping"}
 
@@ -124,16 +130,22 @@ class TestWorkCounters:
         self, tmp_path, compiled, monkeypatch
     ):
         """1 result encoding per fill; 0 per disk hit; 0 per remote hit,
-        including its promotion to disk — counted over engine and peer."""
+        including its promotion to disk — counted over engine and peer.
+        The fill encodes with ``to_text``, so it builds no per-op dicts."""
         circuit, config, key, result = compiled
-        counts = {"dumps": 0, "to_dict": 0}
+        counts = {"dumps": 0, "to_text": 0, "to_dict": 0}
         dumps = json.dumps
+        to_text = CompilationResult.to_text
         to_dict = CompilationResult.to_dict
 
         def counting_dumps(obj, *args, **kwargs):
             if isinstance(obj, dict) and "schedule" in obj:
                 counts["dumps"] += 1
             return dumps(obj, *args, **kwargs)
+
+        def counting_to_text(self):
+            counts["to_text"] += 1
+            return to_text(self)
 
         def counting_to_dict(self):
             counts["to_dict"] += 1
@@ -145,6 +157,7 @@ class TestWorkCounters:
             return outcome, {name: counts[name] - before[name] for name in counts}
 
         monkeypatch.setattr(json, "dumps", counting_dumps)
+        monkeypatch.setattr(CompilationResult, "to_text", counting_to_text)
         monkeypatch.setattr(CompilationResult, "to_dict", counting_to_dict)
         with CachePeerThread(cache=CompileCache(tmp_path / "peer")) as peer:
             writer = SweepEngine(
@@ -157,16 +170,16 @@ class TestWorkCounters:
             )
             try:
                 _, fill = delta(lambda: writer.tiers.fill(key, result))
-                assert fill == {"dumps": 1, "to_dict": 1}
+                assert fill == {"dumps": 1, "to_text": 1, "to_dict": 0}
 
                 writer.clear_memo()
                 hit, disk = delta(lambda: writer.cached_result(circuit, config, key))
                 assert hit[1] == "disk"
-                assert disk == {"dumps": 0, "to_dict": 0}
+                assert disk == {"dumps": 0, "to_text": 0, "to_dict": 0}
 
                 hit, remote = delta(lambda: reader.cached_result(circuit, config, key))
                 assert hit[1] == "remote"
-                assert remote == {"dumps": 0, "to_dict": 0}
+                assert remote == {"dumps": 0, "to_text": 0, "to_dict": 0}
                 assert hit[0].fingerprint() == result.fingerprint()
             finally:
                 writer.shutdown()
@@ -237,7 +250,7 @@ class TestCorruption:
                 reply = protocol.decode_line(sock.makefile("rb").readline())
         assert reply["ok"] and reply["stored"]
         assert _entry_path(tmp_path, key).read_text() == _canonical_envelope(
-            key, payload
+            key, _stored(result)
         )
 
 

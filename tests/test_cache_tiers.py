@@ -323,7 +323,7 @@ class TestGoldenKeys:
         monkeypatch.setattr(jobs, "compiler_revision", lambda: self.REVISION)
         config = CompilerConfig(routing_paths=4, num_factories=2)
         assert jobs.job_key(load_benchmark("ising_2d_4x4"), config) == (
-            "8be6951dd26d8b1a2400e49dd3da32887722b57420fa8a3d238c60016d2b83cd"
+            "d30b69885622360570419ef37964c8623a12cb6bfc06d11a509615f6cffe1f74"
         )
 
 
