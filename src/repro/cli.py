@@ -742,7 +742,8 @@ def _cmd_service_bench(args) -> int:
 
 
 def _cmd_gateway(args) -> int:
-    import time as _time
+    import signal
+    import threading
 
     from .gateway import GatewayCluster, Keyring
 
@@ -765,6 +766,9 @@ def _cmd_gateway(args) -> int:
         host=args.host,
         port=args.port,
     )
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
     with cluster:
         host, port = cluster.address
         print(
@@ -776,11 +780,8 @@ def _cmd_gateway(args) -> int:
         print(f"fleet state under {cluster.cache_dir}")
         print("endpoints: POST /v1/jobs, GET /v1/jobs/<id>, GET /v1/ws, "
               "GET /v1/stats, GET /v1/ping")
-        try:
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            print("shutting down")
+        stop.wait()
+        print("shutting down")
     return 0
 
 

@@ -137,17 +137,19 @@ class GatewayCluster:
 
     # -- conveniences --------------------------------------------------------
 
+    def _started(self) -> GatewayThread:
+        if self.gateway_thread is None:
+            raise RuntimeError("cluster is not started")
+        return self.gateway_thread
+
     @property
     def address(self) -> Tuple[str, int]:
-        assert self.gateway_thread is not None, "cluster is not started"
-        return self.gateway_thread.address
+        return self._started().address
 
     def kill_shard(self, index: int) -> None:
         """Sever shard ``index`` at the router (SIGKILL as seen from the
         gateway; the backend thread itself keeps running)."""
-        assert self.gateway_thread is not None
-        self.gateway_thread.kill_shard(index)
+        self._started().kill_shard(index)
 
     def revive_shard(self, index: int) -> None:
-        assert self.gateway_thread is not None
-        self.gateway_thread.revive_shard(index)
+        self._started().revive_shard(index)

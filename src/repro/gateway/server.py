@@ -37,15 +37,16 @@ with a stable ``code``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import random
-import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..service import protocol
 from ..service.client import RetryPolicy
+from ..service.lifecycle import AsyncServer, ServerThread
 from ..sweep.jobs import job_key
 from .auth import ANONYMOUS_TENANT, Keyring, TokenBucket
 from .http11 import (
@@ -105,7 +106,7 @@ _REJECT_STATUS = {
 _WARM_SOURCES = ("memo", "disk", "remote", "coalesced")
 
 
-class Gateway:
+class Gateway(AsyncServer):
     """The multi-tenant front door; see the module docstring.
 
     Args:
@@ -128,6 +129,9 @@ class Gateway:
         request_timeout: per-dispatch bound against a backend shard.
     """
 
+    kind = "gateway"
+    stream_limit = 2**16  # asyncio's default; http11 bounds lines itself
+
     def __init__(
         self,
         backends: List[Tuple[str, int]],
@@ -146,8 +150,7 @@ class Gateway:
         request_timeout: float = 120.0,
         health_interval: float = 0.25,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.keyring = keyring
         self.max_pending = max_pending
         self.header_timeout = header_timeout
@@ -169,92 +172,74 @@ class Gateway:
         self.metrics = GatewayMetrics()
         self._tasks: Dict[str, asyncio.Task] = {}
         self._watchers: Dict[str, asyncio.Event] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopping: Optional[asyncio.Event] = None
 
     # -- lifecycle ----------------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        assert self._server is not None, "gateway is not started"
-        return self._server.sockets[0].getsockname()[:2]
-
     async def start(self) -> None:
-        self._stopping = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+        """Bind, start the shard health loop, re-dispatch unfinished jobs."""
+        if self._server is not None:
+            return
+        await super().start()
         self.router.start_health_loop()
         # crash recovery: every job the previous process left non-terminal
         # is re-dispatched (claim() re-adopts rows already 'dispatched')
         for record in self.store.pending():
             self._ensure_dispatch(record.key)
 
-    async def serve_until_stopped(self) -> None:
-        assert self._server is not None and self._stopping is not None
-        async with self._server:
-            await self._stopping.wait()
+    async def _teardown(self) -> None:
         await self.router.stop()
-        for task in list(self._tasks.values()):
+        tasks = list(self._tasks.values())
+        for task in tasks:
             task.cancel()
-
-    def request_stop(self) -> None:
-        if self._stopping is not None:
-            self._stopping.set()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self.store.close()
 
     # -- connection handling ------------------------------------------------
 
-    async def _handle_connection(
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.metrics.connections += 1
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, header_timeout=self.header_timeout
-                    )
-                except HttpError as exc:
-                    self.metrics.http_error(exc.code)
-                    writer.write(
-                        render_response(
-                            exc.status,
-                            error_body(exc.code, str(exc)),
-                            exc.headers,
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                self.metrics.requests += 1
-                if request.header("upgrade").lower() == "websocket":
-                    await self._serve_websocket(request, reader, writer)
-                    return
-                started = time.monotonic()
-                try:
-                    status, payload, headers = await self._route(request)
-                except HttpError as exc:
-                    self.metrics.http_error(exc.code)
-                    status = exc.status
-                    payload = error_body(exc.code, str(exc))
-                    headers = exc.headers
-                self.metrics.observe_latency(time.monotonic() - started)
+        while True:
+            try:
+                request = await self._unless_stopping(
+                    read_request(reader, header_timeout=self.header_timeout)
+                )
+            except HttpError as exc:
+                self.metrics.http_error(exc.code)
                 writer.write(
                     render_response(
-                        status, payload, headers, keep_alive=request.keep_alive
+                        exc.status,
+                        error_body(exc.code, str(exc)),
+                        exc.headers,
+                        keep_alive=False,
                     )
                 )
                 await writer.drain()
-                if not request.keep_alive:
-                    return
-        except asyncio.CancelledError:
-            pass  # gateway shutdown cancelled this connection
-        except (ConnectionError, OSError):
-            pass  # client hung up; nothing to answer
-        finally:
-            writer.close()
+                return
+            if request is None:  # EOF or stop
+                return
+            self.metrics.requests += 1
+            if request.header("upgrade").lower() == "websocket":
+                await self._serve_websocket(request, reader, writer)
+                return
+            started = time.monotonic()
+            try:
+                status, payload, headers = await self._route(request)
+            except HttpError as exc:
+                self.metrics.http_error(exc.code)
+                status = exc.status
+                payload = error_body(exc.code, str(exc))
+                headers = exc.headers
+            self.metrics.observe_latency(time.monotonic() - started)
+            writer.write(
+                render_response(
+                    status, payload, headers, keep_alive=request.keep_alive
+                )
+            )
+            await writer.drain()
+            if not request.keep_alive:
+                return
 
     async def _route(
         self, request: Request
@@ -471,10 +456,8 @@ class Gateway:
 
     async def _wait_for_update(self, key: str, timeout: float) -> None:
         event = self._watchers.setdefault(key, asyncio.Event())
-        try:
-            await asyncio.wait_for(event.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass
+        with contextlib.suppress(asyncio.TimeoutError):
+            await self._unless_stopping(asyncio.wait_for(event.wait(), timeout))
 
     # -- WebSocket ----------------------------------------------------------
 
@@ -493,9 +476,12 @@ class Gateway:
         self.metrics.ws_streams += 1
         while True:
             try:
-                opcode, payload = await read_ws_frame(reader)
+                frame = await self._unless_stopping(read_ws_frame(reader))
             except (ConnectionError, HttpError):
                 return
+            if frame is None:  # stop
+                return
+            opcode, payload = frame
             if opcode == WS_CLOSE:
                 writer.write(encode_ws_frame(b"", WS_CLOSE))
                 await writer.drain()
@@ -551,7 +537,7 @@ class Gateway:
                     )
                 )
                 await writer.drain()
-            if record.terminal:
+            if record.terminal or self.stopping:
                 return
             await self._wait_for_update(key, timeout=1.0)
 
@@ -559,95 +545,28 @@ class Gateway:
 # -- background-thread harness -------------------------------------------------
 
 
-class GatewayThread:
-    """A gateway running on a dedicated background thread.
+class GatewayThread(ServerThread):
+    """A gateway on a background thread (see
+    :class:`~repro.service.lifecycle.ServerThread`).
 
-    Usage::
-
-        with GatewayThread(backends=[service.address]) as gw:
-            client = GatewayClient(*gw.address)
-            ...
-
-    Mirrors :class:`~repro.service.server.ServiceThread`; the chaos
-    harness and the tests use :meth:`kill_shard` / :meth:`revive_shard`
-    to drive the shard-death seam from outside the gateway's loop.
+    The chaos harness and the tests use :meth:`kill_shard` /
+    :meth:`revive_shard` to drive the shard-death seam from outside the
+    gateway's loop.
     """
 
-    def __init__(self, **gateway_kwargs: Any) -> None:
-        gateway_kwargs.setdefault("port", 0)
-        self._kwargs = gateway_kwargs
-        self._gateway: Optional[Gateway] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-gateway", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            try:
-                self._gateway = Gateway(**self._kwargs)
-                await self._gateway.start()
-                self._loop = asyncio.get_running_loop()
-            except BaseException as exc:
-                self._startup_error = exc
-                raise
-            finally:
-                self._ready.set()
-            await self._gateway.serve_until_stopped()
-
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:
-            if self._startup_error is None and not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    def start(self) -> "GatewayThread":
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"gateway failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if self._gateway is None or self._loop is None:
-            raise RuntimeError("gateway failed to start (timeout)")
-        return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._gateway is None:
-            raise RuntimeError("gateway is not started")
-        return self._gateway.address
+    server_class = Gateway
+    thread_name = "repro-gateway"
 
     @property
     def gateway(self) -> Gateway:
-        if self._gateway is None:
-            raise RuntimeError("gateway is not started")
-        return self._gateway
+        return self.server
 
     def kill_shard(self, index: int) -> None:
         """Sever shard ``index`` as if its backend were SIGKILLed."""
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(
-            self.gateway.router.force_down, index
-        )
+        router = self.gateway.router  # raises before start
+        self._loop.call_soon_threadsafe(router.force_down, index)
 
     def revive_shard(self, index: int) -> None:
         """Let the health loop re-admit shard ``index``."""
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self.gateway.router.revive, index)
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.gateway.request_stop)
-        self._thread.join(timeout=30)
-        if self._gateway is not None:
-            self._gateway.store.close()
-
-    def __enter__(self) -> "GatewayThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        router = self.gateway.router
+        self._loop.call_soon_threadsafe(router.revive, index)

@@ -13,8 +13,14 @@ the same engine into a long-lived multi-client endpoint (``repro serve``):
   TCP server owning one persistent :class:`~repro.sweep.SweepEngine`
   (worker pool + disk cache), plus :class:`ServiceThread` for running a
   real server in-process (tests, benchmarks, smoke scripts);
+* :mod:`~repro.service.lifecycle` — ``AsyncServer``, the start, stop
+  and drain that every server here and the gateway share, and
+  ``ServerThread``, the one background-thread harness behind
+  :class:`ServiceThread`, :class:`CachePeerThread` and the gateway's
+  ``GatewayThread``;
 * :mod:`~repro.service.client` — :class:`Client`, the synchronous
-  request/response client scripts and tests talk through;
+  request/response client scripts and tests talk through, over the
+  ``LineConnection`` transport it shares with :class:`RemoteCache`;
 * :mod:`~repro.service.cache_peer` — :class:`CachePeer`, the
   ``repro cache-serve`` endpoint: a get/put-by-job-key result store a
   fleet of engines warms itself from;

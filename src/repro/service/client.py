@@ -110,7 +110,62 @@ class RetryPolicy:
         return code in self.codes
 
 
-class Client:
+class LineConnection:
+    """One lazily opened TCP connection carrying newline-terminated frames.
+
+    The transport :class:`Client` and
+    :class:`~repro.service.remote_cache.RemoteCache` share; each keeps its
+    own retry loop.  Users set ``host``, ``port`` and ``timeout``.
+    """
+
+    host: str
+    port: int
+    timeout: float
+    _sock: Optional[socket.socket] = None
+    _reader = None
+
+    def _connect(self) -> None:
+        self._sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout
+        )
+        self._reader = self._sock.makefile("rb")
+
+    def _drop_connection(self) -> None:
+        if self._reader is not None:
+            try:
+                self._reader.close()
+            except OSError:
+                pass
+            self._reader = None
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
+    def _round_trip(self, frame: bytes) -> bytes:
+        """Send ``frame`` (connecting first if needed); the reply line.
+
+        The line lacks its newline when the peer hung up mid-reply, and
+        is empty when it hung up before replying.
+        """
+        if self._sock is None:
+            self._connect()
+        self._sock.sendall(frame)
+        return self._reader.readline()
+
+    def close(self) -> None:
+        self._drop_connection()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+class Client(LineConnection):
     """Blocking JSON-lines client, one request at a time.
 
     Args:
@@ -144,39 +199,16 @@ class Client:
         self._rng = rng if rng is not None else random.Random()
         self.reconnects = 0
         self.retried = 0
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
         self._connect()
 
     # -- transport ----------------------------------------------------------
-
-    def _connect(self) -> None:
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._reader = self._sock.makefile("rb")
-
-    def _drop_connection(self) -> None:
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
-            self._reader = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
 
     def _exchange(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """One send/receive on the live connection (reconnecting first)."""
         if self._sock is None:
             self._connect()
             self.reconnects += 1
-        self._sock.sendall(protocol.encode_line(message))
-        line = self._reader.readline()
+        line = self._round_trip(protocol.encode_line(message))
         if not line:
             raise ConnectionError("compile service closed the connection")
         response = protocol.decode_line(line)
@@ -220,15 +252,6 @@ class Client:
             self.retried += 1
             self._sleep(policy.delay(attempt, self._rng))
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def close(self) -> None:
-        self._drop_connection()
-
-    def __enter__(self) -> "Client":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     # -- operations ---------------------------------------------------------
 

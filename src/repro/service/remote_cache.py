@@ -34,7 +34,6 @@ Design rules, in order of importance:
 from __future__ import annotations
 
 import random
-import socket
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -43,7 +42,7 @@ from ..compiler.result import CompilationResult, canonical_text
 from ..sweep.cache import payload_checksum, verified_text
 from ..sweep.tiers import CacheBackend, Payload
 from . import protocol
-from .client import RetryPolicy
+from .client import LineConnection, RetryPolicy
 
 #: default TCP port of ``repro cache-serve`` (one above the compile service).
 DEFAULT_CACHE_PORT = 7788
@@ -57,7 +56,7 @@ DEFAULT_TIMEOUT = 2.0
 DEFAULT_RETRY = RetryPolicy(attempts=2, base_delay=0.02, max_delay=0.1)
 
 
-class RemoteCache(CacheBackend):
+class RemoteCache(CacheBackend, LineConnection):
     """Cache tier speaking the line protocol to a ``cache-serve`` peer.
 
     Args:
@@ -105,32 +104,10 @@ class RemoteCache(CacheBackend):
         self._clock = clock
         self._failures = 0
         self._resume_at = 0.0
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
         # one in-flight request at a time on the shared connection
         self._io = threading.Lock()
 
     # -- transport ----------------------------------------------------------
-
-    def _connect(self) -> None:
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._reader = self._sock.makefile("rb")
-
-    def _drop_connection(self) -> None:
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
-            self._reader = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
 
     def close(self) -> None:
         with self._io:
@@ -139,10 +116,7 @@ class RemoteCache(CacheBackend):
     def _exchange(self, frame: bytes) -> Tuple[Dict[str, Any], str]:
         """Send one frame; the reply's header and whole line (see
         :func:`~repro.service.protocol.decode_header`)."""
-        if self._sock is None:
-            self._connect()
-        self._sock.sendall(frame)
-        line = self._reader.readline()
+        line = self._round_trip(frame)
         if not line.endswith(b"\n"):
             raise ConnectionError("cache peer closed the connection mid-frame")
         return protocol.decode_header(line)
@@ -263,12 +237,6 @@ class RemoteCache(CacheBackend):
         snap["breaker_trips"] = self.breaker_trips
         snap["peer"] = f"{self.host}:{self.port}"
         return snap
-
-    def __enter__(self) -> "RemoteCache":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def parse_peer(spec: str) -> Tuple[str, int]:
